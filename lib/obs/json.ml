@@ -131,11 +131,29 @@ let of_string s =
     end
     else parse_error !pos "invalid literal"
   in
+  (* The four hex digits at [at], or [None] if any is missing or not a
+     hex digit ([int_of_string] would also take '_' and '+'). *)
+  let hex4_at at =
+    let digit c =
+      match c with
+      | '0' .. '9' -> Some (Char.code c - Char.code '0')
+      | 'a' .. 'f' -> Some (Char.code c - Char.code 'a' + 10)
+      | 'A' .. 'F' -> Some (Char.code c - Char.code 'A' + 10)
+      | _ -> None
+    in
+    let rec go i acc =
+      if i = 4 then Some acc
+      else if at + i >= n then None
+      else match digit s.[at + i] with Some d -> go (i + 1) ((acc lsl 4) lor d) | None -> None
+    in
+    go 0 0
+  in
   let hex4 () =
-    if !pos + 4 > n then parse_error !pos "truncated \\u escape";
-    let v = int_of_string ("0x" ^ String.sub s !pos 4) in
-    pos := !pos + 4;
-    v
+    match hex4_at !pos with
+    | Some v ->
+        pos := !pos + 4;
+        v
+    | None -> parse_error !pos "invalid \\u escape"
   in
   let parse_string () =
     expect '"';
@@ -161,14 +179,16 @@ let of_string s =
               advance ();
               let cp = hex4 () in
               let cp =
-                (* Combine a UTF-16 surrogate pair when one follows. *)
+                (* Combine a UTF-16 surrogate pair when a low half follows;
+                   any other escape after a high half is parsed on its own. *)
                 if cp >= 0xD800 && cp <= 0xDBFF && !pos + 6 <= n && s.[!pos] = '\\'
                    && s.[!pos + 1] = 'u'
-                then begin
-                  pos := !pos + 2;
-                  let lo = hex4 () in
-                  0x10000 + ((cp - 0xD800) lsl 10) + (lo - 0xDC00)
-                end
+                then
+                  match hex4_at (!pos + 2) with
+                  | Some lo when lo >= 0xDC00 && lo <= 0xDFFF ->
+                      pos := !pos + 6;
+                      0x10000 + ((cp - 0xD800) lsl 10) + (lo - 0xDC00)
+                  | Some _ | None -> cp
                 else cp
               in
               add_utf8 buf cp

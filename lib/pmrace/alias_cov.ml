@@ -37,14 +37,14 @@ let mix h x =
   let h = (h lxor (h lsr 15)) * 0x85EBCA77 in
   h lxor (h lsr 13)
 
-let hash_pair prev cur =
+let hash_pair ~p_instr ~p_dirty ~p_tid ~c_instr ~c_dirty ~c_tid =
   let h = 0x27220A95 in
-  let h = mix h prev.a_instr in
-  let h = mix h (if prev.a_dirty then 3 else 5) in
-  let h = mix h prev.a_tid in
-  let h = mix h cur.a_instr in
-  let h = mix h (if cur.a_dirty then 3 else 5) in
-  mix h cur.a_tid
+  let h = mix h p_instr in
+  let h = mix h (if p_dirty then 3 else 5) in
+  let h = mix h p_tid in
+  let h = mix h c_instr in
+  let h = mix h (if c_dirty then 3 else 5) in
+  mix h c_tid
 
 let set_bit t idx =
   let byte = idx / 8 and bit = idx mod 8 in
@@ -57,9 +57,13 @@ let set_bit t idx =
   end
   else false
 
+let observe_pair t ~p_instr ~p_dirty ~p_tid ~c_instr ~c_dirty ~c_tid =
+  if p_tid = c_tid then false
+  else set_bit t (abs (hash_pair ~p_instr ~p_dirty ~p_tid ~c_instr ~c_dirty ~c_tid) mod t.size)
+
 let observe t ~prev ~cur =
-  if prev.a_tid = cur.a_tid then false
-  else set_bit t (abs (hash_pair prev cur) mod t.size)
+  observe_pair t ~p_instr:prev.a_instr ~p_dirty:prev.a_dirty ~p_tid:prev.a_tid ~c_instr:cur.a_instr
+    ~c_dirty:cur.a_dirty ~c_tid:cur.a_tid
 
 let count t = t.count
 
@@ -104,39 +108,83 @@ let pp_site_coverage ppf t =
 (* Per-execution scratch: the previous accessor of every PM address, plus
    the last *writer* tracked separately so that cross-thread dirty reads
    also register as achieved site pairs against the static denominator.
+
+   Both are flat per-word int arrays.  An entry packs one access with the
+   tracker generation it was written in:
+
+     bit 0 dirty | bits 1-16 tid + 1 | bits 17-40 instruction | bits 41-61 gen
+
+   so an entry is live iff its generation is the tracker's, [reset_tracker]
+   is a bump, and a zero-filled slot is empty (generations start at 1).
+   The arrays grow in 512-word steps to cover the highest address seen.
    The persistent-mode engine keeps one tracker per worker and resets it
    between campaigns instead of allocating fresh closures. *)
-type tracker = {
-  last : (int, access) Hashtbl.t;
-  last_writer : (int, access) Hashtbl.t;
-}
+type tracker = { mutable last : int array; mutable last_writer : int array; mutable gen : int }
 
-let tracker () = { last = Hashtbl.create 256; last_writer = Hashtbl.create 256 }
+let tid_bits = 16
+let instr_bits = 24
+let instr_shift = 1 + tid_bits
+let gen_shift = instr_shift + instr_bits
+let max_gen = (1 lsl (62 - gen_shift)) - 1
 
+let pack tr ~instr ~dirty ~tid =
+  if tid < -1 || tid + 1 >= 1 lsl tid_bits then invalid_arg "Alias_cov: tid out of range";
+  if instr >= 1 lsl instr_bits then invalid_arg "Alias_cov: instruction id out of range";
+  (tr.gen lsl gen_shift) lor (instr lsl instr_shift) lor ((tid + 1) lsl 1)
+  lor if dirty then 1 else 0
+
+let[@inline] live tr e = e lsr gen_shift = tr.gen
+let[@inline] packed_instr e = (e lsr instr_shift) land ((1 lsl instr_bits) - 1)
+let[@inline] packed_tid e = ((e lsr 1) land ((1 lsl tid_bits) - 1)) - 1
+let[@inline] packed_dirty e = e land 1 = 1
+
+let tracker () = { last = [||]; last_writer = [||]; gen = 1 }
+
+(* Generations wrap after [max_gen] resets; only then are the arrays
+   actually cleared. *)
 let reset_tracker tr =
-  Hashtbl.reset tr.last;
-  Hashtbl.reset tr.last_writer
+  if tr.gen < max_gen then tr.gen <- tr.gen + 1
+  else begin
+    Array.fill tr.last 0 (Array.length tr.last) 0;
+    Array.fill tr.last_writer 0 (Array.length tr.last_writer) 0;
+    tr.gen <- 1
+  end
 
-let handler t tr ev =
-  let on_access addr cur =
-    (match Hashtbl.find_opt tr.last addr with
-    | Some prev -> ignore (observe t ~prev ~cur)
-    | None -> ());
-    Hashtbl.replace tr.last addr cur
-  in
-  match ev with
+let ensure tr addr =
+  if addr >= Array.length tr.last then begin
+    let n = (addr / 512 + 1) * 512 in
+    let extend a =
+      let b = Array.make n 0 in
+      Array.blit a 0 b 0 (Array.length a);
+      b
+    in
+    tr.last <- extend tr.last;
+    tr.last_writer <- extend tr.last_writer
+  end
+
+let on_access t tr addr cur =
+  let prev = tr.last.(addr) in
+  if live tr prev then
+    ignore
+      (observe_pair t ~p_instr:(packed_instr prev) ~p_dirty:(packed_dirty prev)
+         ~p_tid:(packed_tid prev) ~c_instr:(packed_instr cur) ~c_dirty:(packed_dirty cur)
+         ~c_tid:(packed_tid cur));
+  tr.last.(addr) <- cur
+
+let handler t tr = function
   | Runtime.Env.Ev_load { instr; tid; addr; dirty } ->
-      let cur = { a_instr = Runtime.Instr.to_int instr; a_dirty = dirty; a_tid = tid } in
+      let cur = pack tr ~instr:(Runtime.Instr.to_int instr) ~dirty ~tid in
+      ensure tr addr;
       (if dirty then
-         match Hashtbl.find_opt tr.last_writer addr with
-         | Some w when w.a_tid <> tid ->
-             record_site_pair t ~write_instr:w.a_instr ~read_instr:cur.a_instr
-         | Some _ | None -> ());
-      on_access addr cur
+         let w = tr.last_writer.(addr) in
+         if live tr w && packed_tid w <> tid then
+           record_site_pair t ~write_instr:(packed_instr w) ~read_instr:(packed_instr cur));
+      on_access t tr addr cur
   | Runtime.Env.Ev_store { instr; tid; addr } | Runtime.Env.Ev_movnt { instr; tid; addr } ->
-      let cur = { a_instr = Runtime.Instr.to_int instr; a_dirty = true; a_tid = tid } in
-      Hashtbl.replace tr.last_writer addr cur;
-      on_access addr cur
+      let cur = pack tr ~instr:(Runtime.Instr.to_int instr) ~dirty:true ~tid in
+      ensure tr addr;
+      tr.last_writer.(addr) <- cur;
+      on_access t tr addr cur
   | Runtime.Env.Ev_clwb _ | Runtime.Env.Ev_fence _ | Runtime.Env.Ev_branch _ -> ()
 
 (* Empty the map itself (bitmap, count, achieved pairs) so a worker-local

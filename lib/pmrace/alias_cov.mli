@@ -55,7 +55,9 @@ val reset_tracker : tracker -> unit
 
 val handler : t -> tracker -> Runtime.Env.event -> unit
 (** The event handler behind {!attach}, exposed so workers can install it
-    in a pre-bound listener array. *)
+    in a pre-bound listener array.
+    @raise Invalid_argument on a negative address, a tid outside
+    [-1 .. 65534] or an instruction id of [2^24] or more. *)
 
 val clear : t -> unit
 (** Empty the map (bitmap, count, achieved pairs, denominator) so a

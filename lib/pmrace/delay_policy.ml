@@ -13,11 +13,11 @@ let create ?(prob = 0.08) ?(max_delay = 25) ~rng () = { rng; prob; max_delay }
 let policy t : Env.policy =
   {
     before =
-      (fun _ctx _p ->
+      (fun _ctx _kind _instr _addr ->
         Sched.Scheduler.yield ();
         if Rng.float t.rng < t.prob then
           for _ = 1 to Rng.int t.rng t.max_delay do
             Sched.Scheduler.yield ()
           done);
-    after = (fun _ _ -> ());
+    after = (fun _ _ _ _ -> ());
   }

@@ -293,24 +293,24 @@ let record_op = record
 let wrap t (base : Runtime.Env.policy) : Runtime.Env.policy =
   {
     before =
-      (fun ctx point ->
+      (fun ctx kind instr addr ->
         if ctx.tid >= 0 && ctx.tid < t.nthreads then
-          t.pending.(ctx.tid) <- Footprint.of_point point;
-        base.before ctx point);
+          t.pending.(ctx.tid) <- Footprint.of_op kind addr;
+        base.before ctx kind instr addr);
     after =
-      (fun ctx point ->
+      (fun ctx kind instr addr ->
         (* [before] already encoded this op's footprint into the pending
            slot; reuse it rather than re-encoding the point.  Only this
            fiber writes its own slot, so the value is still this op's. *)
         let tid = ctx.tid in
         if tid >= 0 && tid < t.nthreads then begin
           let fp = t.pending.(tid) in
-          let fp = if fp <> 0 then fp else Footprint.of_point point in
+          let fp = if fp <> 0 then fp else Footprint.of_op kind addr in
           record t tid fp;
           t.pending.(tid) <- 0
         end
-        else record t tid (Footprint.of_point point);
-        base.after ctx point);
+        else record t tid (Footprint.of_op kind addr);
+        base.after ctx kind instr addr);
   }
 
 let hooks t : Sched.Scheduler.por =

@@ -54,12 +54,11 @@ let create ?(writer_wait = 400) ?(block_threshold = 60) ~rng ~nthreads ~skip ent
     waiting = Hashtbl.create 8;
   }
 
-let is_sync_load t (p : Env.point) =
-  (p.kind = Env.P_load || p.kind = Env.P_cas) && p.addr = t.entry.addr
+let is_sync_load t (kind : Env.point_kind) addr =
+  addr = t.entry.addr && (kind = Env.P_load || kind = Env.P_cas)
 
-let is_sync_store t (p : Env.point) =
-  (p.kind = Env.P_store || p.kind = Env.P_movnt || p.kind = Env.P_cas)
-  && p.addr = t.entry.addr
+let is_sync_store t (kind : Env.point_kind) addr =
+  addr = t.entry.addr && (kind = Env.P_store || kind = Env.P_movnt || kind = Env.P_cas)
 
 let bypassed t tid = match t.privileged with Some p -> p = tid | None -> false
 
@@ -122,10 +121,10 @@ let cond_signal t =
 let policy t : Env.policy =
   {
     before =
-      (fun ctx p ->
+      (fun ctx kind _instr addr ->
         Sched.Scheduler.yield ();
-        if is_sync_load t p then cond_wait t ctx.Env.tid);
-    after = (fun _ctx p -> if is_sync_store t p then cond_signal t);
+        if is_sync_load t kind addr then cond_wait t ctx.Env.tid);
+    after = (fun _ctx kind _instr addr -> if is_sync_store t kind addr then cond_signal t);
   }
 
 let triggered t = t.signalled

@@ -98,11 +98,15 @@ let on_load t pool ~tid ~instr ~addr =
 (* A taint label is "live" when the data it came from is still dirty: a
    crash now would lose the source while the dependent effect survives. *)
 let live_sources t pool taint =
-  Taint.labels taint
-  |> List.filter_map (fun l ->
-         match Candidates.find t.cands l with
-         | Some c when Pmem.Pool.is_dirty pool c.Candidates.addr -> Some c
-         | Some _ | None -> None)
+  match Taint.labels taint with
+  | [] -> [] (* the common case: no closure to build *)
+  | labels ->
+      List.filter_map
+        (fun l ->
+          match Candidates.find t.cands l with
+          | Some c when Pmem.Pool.is_dirty pool c.Candidates.addr -> Some c
+          | Some _ | None -> None)
+        labels
 
 (* Store hook: register a pending durable side effect when the stored value
    or the store address is derived from live non-persisted data. *)
@@ -110,7 +114,7 @@ let on_store t pool ~tid ~instr ~addr ~value_taint ~addr_taint =
   let v_sources = live_sources t pool value_taint in
   let a_sources = live_sources t pool addr_taint in
   (* A newer store to the same word supersedes the old pending effect. *)
-  t.pending <- List.filter (fun se -> se.se_addr <> addr) t.pending;
+  if t.pending <> [] then t.pending <- List.filter (fun se -> se.se_addr <> addr) t.pending;
   if v_sources <> [] || a_sources <> [] then
     t.pending <-
       {

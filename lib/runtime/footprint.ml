@@ -32,12 +32,12 @@ let rw word = (word lsl 3) lor tag_rw
 let flush_line line = (line lsl 3) lor tag_flush
 let flush word = flush_line (Pmem.Cacheline.line_of_word word)
 
-let of_point (p : Env.point) : t =
-  match p.kind with
-  | Env.P_load -> load p.addr
-  | Env.P_store | Env.P_movnt -> store p.addr
-  | Env.P_cas -> rw p.addr
-  | Env.P_clwb -> flush p.addr
+let of_op (kind : Env.point_kind) addr : t =
+  match kind with
+  | Env.P_load -> load addr
+  | Env.P_store | Env.P_movnt -> store addr
+  | Env.P_cas -> rw addr
+  | Env.P_clwb -> flush addr
   | Env.P_fence -> fence
 
 (* The line a footprint touches: flushes carry a line index directly,

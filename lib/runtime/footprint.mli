@@ -1,6 +1,6 @@
 (** Compact access summaries for partial-order reduction.
 
-    Every instrumented operation ({!Mem} via {!Env.policy} points)
+    Every instrumented operation ({!Mem} via {!Env.policy} hooks)
     summarises to one immediate int: a tag (load / store / read-write /
     flush / fence / opaque) plus a word or cache-line payload.  The
     scheduler's POR mode ({!Sched.Scheduler.run_por}) tests two step
@@ -39,8 +39,8 @@ val flush : int -> t
 val flush_line : int -> t
 (** [flush_line line] — when the caller already has the line index. *)
 
-val of_point : Env.point -> t
-(** Summarise one policy point ({!Env.point}); fences carry no address. *)
+val of_op : Env.point_kind -> int -> t
+(** [of_op kind word] summarises one policy point; fences ignore [word]. *)
 
 val tag : t -> int
 val payload : t -> int

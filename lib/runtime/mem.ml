@@ -27,7 +27,7 @@ let maybe_evict env =
 let load ctx ~instr addr =
   let env = ctx.env in
   let a = word_of addr in
-  env.policy.before ctx { kind = P_load; instr; addr = a };
+  env.policy.before ctx P_load instr a;
   let dirty = Pmem.Pool.is_dirty env.pool a in
   let raw = Pmem.Pool.load env.pool a in
   let taint = Taint.union (Tval.taint addr) (Env.mem_taint env a) in
@@ -37,13 +37,13 @@ let load ctx ~instr addr =
     | None -> taint
   in
   Env.emit env (Ev_load { instr; tid = ctx.tid; addr = a; dirty });
-  env.policy.after ctx { kind = P_load; instr; addr = a };
+  env.policy.after ctx P_load instr a;
   Tval.make raw taint
 
 let store_common ctx ~instr ~kind addr value =
   let env = ctx.env in
   let a = word_of addr in
-  env.policy.before ctx { kind; instr; addr = a };
+  env.policy.before ctx kind instr a;
   Checkers.on_store env.checkers env.pool ~tid:ctx.tid ~instr ~addr:a
     ~value_taint:(Tval.taint value) ~addr_taint:(Tval.taint addr);
   (match kind with
@@ -58,7 +58,7 @@ let store_common ctx ~instr ~kind addr value =
   (match kind with
   | P_store -> Env.emit env (Ev_store { instr; tid = ctx.tid; addr = a })
   | _ -> Env.emit env (Ev_movnt { instr; tid = ctx.tid; addr = a }));
-  env.policy.after ctx { kind; instr; addr = a };
+  env.policy.after ctx kind instr a;
   maybe_evict env
 
 let store ctx ~instr addr value = store_common ctx ~instr ~kind:P_store addr value
@@ -67,7 +67,7 @@ let movnt ctx ~instr addr value = store_common ctx ~instr ~kind:P_movnt addr val
 let clwb ctx ~instr addr =
   let env = ctx.env in
   let a = word_of addr in
-  env.policy.before ctx { kind = P_clwb; instr; addr = a };
+  env.policy.before ctx P_clwb instr a;
   let dirty_words =
     (* Allocation-free line walk: this runs on every instrumented CLWB. *)
     Pmem.Cacheline.fold_line
@@ -76,15 +76,15 @@ let clwb ctx ~instr addr =
   in
   Pmem.Pool.clwb env.pool a;
   Env.emit env (Ev_clwb { instr; tid = ctx.tid; addr = a; dirty_words });
-  env.policy.after ctx { kind = P_clwb; instr; addr = a }
+  env.policy.after ctx P_clwb instr a
 
 let sfence ctx ~instr =
   let env = ctx.env in
-  env.policy.before ctx { kind = P_fence; instr; addr = -1 };
+  env.policy.before ctx P_fence instr (-1);
   let persisted = Pmem.Pool.sfence env.pool in
   Checkers.on_persisted env.checkers env.pool persisted;
   Env.emit env (Ev_fence { instr; tid = ctx.tid; persisted });
-  env.policy.after ctx { kind = P_fence; instr; addr = -1 }
+  env.policy.after ctx P_fence instr (-1)
 
 let persist ctx ~instr addr =
   clwb ctx ~instr addr;
@@ -110,7 +110,7 @@ let persist_range ctx ~instr addr ~words =
 let cas ?(nt = false) ctx ~instr addr ~expect ~value =
   let env = ctx.env in
   let a = word_of addr in
-  env.policy.before ctx { kind = P_cas; instr; addr = a };
+  env.policy.before ctx P_cas instr a;
   let dirty = Pmem.Pool.is_dirty env.pool a in
   let raw = Pmem.Pool.load env.pool a in
   ignore (Checkers.on_load env.checkers env.pool ~tid:ctx.tid ~instr ~addr:a);
@@ -125,7 +125,7 @@ let cas ?(nt = false) ctx ~instr addr ~expect ~value =
     if Pmem.Pool.is_eadr env.pool then Checkers.on_persisted env.checkers env.pool [ a ];
     Env.emit env (Ev_store { instr; tid = ctx.tid; addr = a })
   end;
-  env.policy.after ctx { kind = P_cas; instr; addr = a };
+  env.policy.after ctx P_cas instr a;
   if ok then maybe_evict env;
   ok
 

@@ -186,6 +186,32 @@ let test_transient_listeners_cleared () =
   ignore (Campaign.run ~engine i);
   Alcotest.(check int) "listener detached by next checkout" first !hits
 
+(* The taint shadow clears by generation bump: labels one campaign set —
+   also past the shadow's first 512-word growth step — are invisible
+   after the next checkout ([Env.reset]) and after [Env.reset_checkers],
+   while labels set afterwards are live. *)
+let test_taint_cleared () =
+  let module Taint = Runtime.Taint in
+  let engine = Engine.create ~use_checkpoint:true Workloads.Pclht.target in
+  let env = Engine.checkout engine in
+  let check_taint what addr expect =
+    Alcotest.(check (list int)) what expect (Taint.labels (Env.mem_taint env addr))
+  in
+  Env.set_mem_taint env 7 (Taint.singleton 41);
+  Env.set_mem_taint env 1500 (Taint.of_labels [ 41; 43 ]);
+  check_taint "set in campaign A" 1500 [ 41; 43 ];
+  Alcotest.(check bool) "checkout reuses the context" true (Engine.checkout engine == env);
+  check_taint "word 7 after reset" 7 [];
+  check_taint "word 1500 after reset" 1500 [];
+  Env.set_mem_taint env 7 (Taint.singleton 42);
+  check_taint "set in campaign B" 7 [ 42 ];
+  check_taint "untouched word stays clear" 1500 [];
+  Env.reset_checkers env;
+  check_taint "reset_checkers clears too" 7 [];
+  Env.set_mem_taint env 9 (Taint.singleton 5);
+  Env.set_mem_taint env 9 Taint.empty;
+  check_taint "clearing one word" 9 []
+
 (* With a deterministic init, checkpoint-on and checkpoint-off engines
    yield bit-identical campaigns: restore semantics (images + seq + stats)
    make the two pool setups indistinguishable. *)
@@ -210,6 +236,7 @@ let suite =
     Alcotest.test_case "mode defaults to expensive_init" `Quick test_mode_default;
     Alcotest.test_case "reset is O(touched)" `Quick test_reset_o_touched;
     Alcotest.test_case "transient listeners cleared" `Quick test_transient_listeners_cleared;
+    Alcotest.test_case "taint shadow cleared between campaigns" `Quick test_taint_cleared;
     Alcotest.test_case "checkpoint on ≡ off (deterministic init)" `Quick
       test_checkpoint_on_off_identical;
   ]

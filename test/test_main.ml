@@ -19,6 +19,7 @@ let () =
       ("proto", Test_proto.suite);
       ("campaign+validation", Test_campaign.suite);
       ("engine", Test_engine.suite);
+      ("alloc", Test_alloc.suite);
       ("fuzzer", Test_fuzzer.suite);
       ("parallel", Test_parallel.suite);
       ("obs", Test_obs.suite);

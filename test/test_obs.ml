@@ -60,6 +60,56 @@ let test_json_errors () =
   bad "1 2";
   bad "\"unterminated"
 
+(* \u escapes: exactly four hex digits, and a high surrogate only pairs
+   with a following low half (DC00-DFFF). *)
+let test_json_unicode_total () =
+  let bad s = match J.of_string s with Ok _ -> Alcotest.failf "%S parsed" s | Error _ -> () in
+  bad {|"\u00zz"|};
+  bad {|"\u+123"|};
+  bad {|"\u0_12"|};
+  bad {|"\uD800\u00zz"|};
+  bad {|"\u12"|};
+  match J.of_string {|"\uD800\u0041"|} with
+  | Ok (J.String s) ->
+      Alcotest.(check string) "lone high surrogate kept, next escape not eaten" "\xed\xa0\x80A" s
+  | Ok _ -> Alcotest.fail "expected a string"
+  | Error e -> Alcotest.failf "parse error: %s" e
+
+(* The decoder is total: mutated or truncated documents give [Ok] or
+   [Error], never an exception. *)
+let prop_json_total =
+  let doc =
+    J.to_string ~minify:true
+      (J.Obj
+         [
+           ("s", J.String "a\"b\\c\n\x01\xc3\xa9");
+           ("u", J.String "\xf0\x9f\x98\x80");
+           ("n", J.List [ J.Int (-12); J.Float 1.5e-3; J.Null; J.Bool true ]);
+           ("o", J.Obj [ ("k", J.Obj []); ("l", J.List []) ]);
+         ])
+    ^ {|["\u00e9\uD83D\uDE00\uD800\u0041\u00ZZ"]|}
+  in
+  let alphabet = {|\u"{}[],:-+._0123456789abcdefzDEF eE|} in
+  let edit =
+    QCheck.(
+      triple (int_bound 3) (int_bound (String.length doc)) (int_bound (String.length alphabet - 1)))
+  in
+  QCheck.Test.make ~name:"json: mutated or truncated text never raises" ~count:500
+    QCheck.(small_list edit)
+    (fun edits ->
+      let apply s (op, at, c) =
+        let at = min at (String.length s) and c = String.make 1 alphabet.[c] in
+        let before = String.sub s 0 at and after = String.sub s at (String.length s - at) in
+        match op with
+        | 0 -> before (* truncate *)
+        | 1 -> before ^ c ^ after (* insert *)
+        | 2 when after <> "" -> before ^ c ^ String.sub after 1 (String.length after - 1)
+        | _ when after <> "" -> before ^ String.sub after 1 (String.length after - 1) (* delete *)
+        | _ -> s
+      in
+      let text = List.fold_left apply doc edits in
+      match J.of_string text with Ok _ | Error _ -> true)
+
 let test_json_accessors () =
   let j = J.Obj [ ("n", J.Int 3); ("f", J.Float 2.5); ("s", J.String "x") ] in
   Alcotest.(check (option int)) "member+to_int" (Some 3) (Option.bind (J.member "n" j) J.to_int);
@@ -342,6 +392,8 @@ let suite =
     Alcotest.test_case "json escapes" `Quick test_json_escapes;
     Alcotest.test_case "json unicode escapes" `Quick test_json_unicode_escape;
     Alcotest.test_case "json parse errors" `Quick test_json_errors;
+    Alcotest.test_case "json unicode escapes are total" `Quick test_json_unicode_total;
+    QCheck_alcotest.to_alcotest prop_json_total;
     Alcotest.test_case "json accessors" `Quick test_json_accessors;
     Alcotest.test_case "metrics disabled no-op" `Quick test_metrics_disabled_noop;
     Alcotest.test_case "metrics enabled" `Quick test_metrics_enabled;
