@@ -125,6 +125,14 @@ let print_session ppf (target : Pmrace.Target.t) (s : Fuzzer.session) =
       Format.fprintf ppf "scheduler: %d steps, %.0f steps/sec of campaign run time@."
         sched_steps
         (float_of_int sched_steps /. run);
+    (* How hung runs ended: proven stuck at quiescence, or cut by the
+       step budget with some fiber not proven stuck (a busy-wait the spin
+       stamps do not cover, or a slow live run mislabelled hung). *)
+    let quiescent = counter_sum "sched_quiescent_hangs_total"
+    and budget = counter_sum "sched_budget_exhausted_total" in
+    if quiescent + budget > 0 then
+      Format.fprintf ppf "hung runs: %d ended at quiescence, %d at the step budget@." quiescent
+        budget;
     Format.fprintf ppf "@.metrics:@.";
     Obs.Metrics.pp ppf ()
   end

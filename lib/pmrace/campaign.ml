@@ -54,7 +54,7 @@ type result = {
   env : Env.t;
   outcome : Scheduler.outcome;
   sync : Sync_policy.t option;
-  hung : bool; (* budget exhaustion or a Stuck spin lock *)
+  hung : bool; (* hung fibers (quiescence or budget) or a Stuck spin lock *)
   por : Por.stats option; (* pruning provenance when the input asked for POR *)
 }
 
@@ -123,7 +123,10 @@ let run ?engine ?(listeners = []) (i : input) =
   in
   let policy = match harness with Some h -> Por.wrap h policy | None -> policy in
   Env.set_policy env policy;
-  let sched = Scheduler.create ~step_budget:i.step_budget ~rng () in
+  (* The spin channel lets the scheduler end a campaign at quiescence
+     instead of running a proven hang out to the step budget. *)
+  let spin = Env.spin_channel env ~fibers:nthreads in
+  let sched = Scheduler.create ~step_budget:i.step_budget ~spin ~rng () in
   Array.iteri
     (fun ti ops ->
       let name = Printf.sprintf "worker-%d" ti in

@@ -53,7 +53,7 @@ type result = {
   env : Env.t;  (** checkers carry the campaign's findings *)
   outcome : Scheduler.outcome;
   sync : Sync_policy.t option;
-  hung : bool;  (** budget exhaustion or a stuck spin lock *)
+  hung : bool;  (** hung fibers (at quiescence or budget) or a stuck spin lock *)
   por : Por.stats option;
       (** trace hash + pruning counters, when the input asked for POR *)
 }

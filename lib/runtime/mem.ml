@@ -50,6 +50,7 @@ let store_common ctx ~instr ~kind addr value =
   | P_store -> Pmem.Pool.store env.pool ~tid:ctx.tid ~instr:(Instr.to_int instr) a (Tval.v value)
   | P_movnt -> Pmem.Pool.movnt env.pool ~tid:ctx.tid ~instr:(Instr.to_int instr) a (Tval.v value)
   | P_load | P_clwb | P_fence | P_cas -> assert false);
+  Env.note_pm_write env;
   Env.set_mem_taint env a (Tval.taint value);
   (* Under eADR the store is already durable: run the persistence hook so
      sync-variable updates are still detected (§6.6: PM Synchronization
@@ -121,6 +122,7 @@ let cas ?(nt = false) ctx ~instr addr ~expect ~value =
       ~value_taint:(Tval.taint value) ~addr_taint:(Tval.taint addr);
     if nt then Pmem.Pool.movnt env.pool ~tid:ctx.tid ~instr:(Instr.to_int instr) a (Tval.v value)
     else Pmem.Pool.store env.pool ~tid:ctx.tid ~instr:(Instr.to_int instr) a (Tval.v value);
+    Env.note_pm_write env;
     Env.set_mem_taint env a (Tval.taint value);
     if Pmem.Pool.is_eadr env.pool then Checkers.on_persisted env.checkers env.pool [ a ];
     Env.emit env (Ev_store { instr; tid = ctx.tid; addr = a })
@@ -138,7 +140,11 @@ let external_effect ctx ~instr value =
 
 (* Spin locks over a PM word: 0 = free, 1 = held.  [persist:true] flushes
    the lock word after acquisition/release — that is exactly the persistent
-   lock pattern behind the paper's PM Synchronization Inconsistency bugs. *)
+   lock pattern behind the paper's PM Synchronization Inconsistency bugs.
+
+   Each failed attempt stamps the fiber with the write generation read
+   before the attempt (see [Env.stamp_spin]), the evidence the scheduler
+   uses to end a run whose every live fiber spins on a held lock. *)
 let spin_limit = 100_000
 
 let try_lock ctx ~instr addr = cas ctx ~instr addr ~expect:Tval.zero ~value:Tval.one
@@ -146,7 +152,12 @@ let try_lock ctx ~instr addr = cas ctx ~instr addr ~expect:Tval.zero ~value:Tval
 let spin_lock ?(persist_lock = false) ctx ~instr addr =
   let rec spin n =
     if n > spin_limit then raise (Stuck (Printf.sprintf "spin_lock at %s" (Instr.name instr)));
-    if not (try_lock ctx ~instr addr) then spin (n + 1)
+    let gen = Env.pm_gen ctx.env in
+    if try_lock ctx ~instr addr then Env.clear_spin ctx
+    else begin
+      Env.stamp_spin ctx ~gen;
+      spin (n + 1)
+    end
   in
   spin 0;
   if persist_lock then persist ctx ~instr addr

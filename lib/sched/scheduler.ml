@@ -6,14 +6,16 @@
    produces the same interleaving — buggy interleavings found by the fuzzer
    are replayable.
 
-   A fiber that exceeds neither budget nor failure runs to completion.  When
-   the step budget is exhausted with fibers still suspended, those fibers
-   are killed (their continuations are discontinued so resources unwind) and
-   reported as hung — this is how lock-related hangs (paper bugs 2, 5, 6)
-   surface. *)
+   A fiber that exceeds neither budget nor failure runs to completion.  A
+   run ends early at quiescence: when the runtime's spin stamps prove that
+   every live fiber is spinning on a held lock that no write can release
+   (see [quiescent]).  Fibers still suspended then, or when the step
+   budget runs out, are killed (their continuations are discontinued so
+   resources unwind) and reported as hung — this is how lock-related hangs
+   (paper bugs 2, 5, 6) surface. *)
 
 exception Killed
-(* Raised inside a fiber when the scheduler kills it at budget exhaustion. *)
+(* Raised inside a fiber when the scheduler kills it as hung. *)
 
 type _ Effect.t += Yield : unit Effect.t
 
@@ -40,14 +42,15 @@ type outcome = {
 type t = {
   rng : Rng.t;
   step_budget : int;
+  spin : int array; (* cell 0: write generation; cell 1 + tid: spin stamp *)
   mutable fibers : fiber list; (* reverse spawn order *)
   mutable count : int;
   mutable steps : int;
   mutable running : bool;
 }
 
-let create ?(step_budget = 200_000) ~rng () =
-  { rng; step_budget; fibers = []; count = 0; steps = 0; running = false }
+let create ?(step_budget = 200_000) ?(spin = [||]) ~rng () =
+  { rng; step_budget; spin; fibers = []; count = 0; steps = 0; running = false }
 
 let spawn t ~name body =
   if t.running then invalid_arg "Sched.spawn: cannot spawn while running";
@@ -90,16 +93,20 @@ let m_steps_per_run =
 
 let m_hung_fibers = lazy (Obs.Metrics.counter "sched_hung_fibers_total")
 
+(* How each hung run ended: proven stuck at quiescence, or cut by the
+   budget with some live fiber not proven stuck — a busy-wait the rule
+   does not cover, or a slow but live run mislabelled hung. *)
+let m_quiescent_hangs = lazy (Obs.Metrics.counter "sched_quiescent_hangs_total")
+let m_budget_exhausted = lazy (Obs.Metrics.counter "sched_budget_exhausted_total")
+
 (* Mean wall seconds per scheduling step (including the fiber's own work
-   between preemption points), sampled once every [sample_interval] steps
+   between preemption points), sampled once every [check_interval] steps
    so the hot loop pays one clock read per 64 steps, not per step. *)
 let m_step_seconds =
   lazy
     (Obs.Metrics.histogram
        ~buckets:[| 2e-7; 5e-7; 1e-6; 2e-6; 5e-6; 1e-5; 5e-5; 2e-4 |]
        "sched_step_seconds")
-
-let sample_interval = 64 (* power of two: the sample test is a mask *)
 
 let record f = function
   | Finished -> f.state <- Done
@@ -121,10 +128,40 @@ let step_fiber f =
   in
   record f r
 
-(* Kill whatever is still suspended (budget exhausted), then assemble the
-   outcome and record the per-run metric deltas.  Shared by [run] and
-   [run_reference] so the two paths differ only in how they pick. *)
+(* Quiescence: every live fiber carries the stamp [generation + 1] in the
+   [spin] channel.  The runtime stamps a fiber after it failed a
+   spin-lock CAS that read the pool at the current generation, and every
+   PM write bumps the generation, so each such fiber's next attempt reads
+   the same held lock word and fails again, writing nothing — and no
+   other fiber is left to write.  No step can change the outcome: the
+   budget would kill exactly this live set.  With no channel (the
+   default) no fiber is ever stamped and only the budget ends a run.
+   Tids equal positions in [fibers] (both are spawn order). *)
+let rec stalled_from spin fibers i =
+  i >= Array.length fibers
+  || (match (Array.unsafe_get fibers i).state with
+     | Done | Crashed _ -> true
+     | Not_started _ | Suspended _ ->
+         i + 1 < Array.length spin
+         && Array.unsafe_get spin (i + 1) = Array.unsafe_get spin 0 + 1)
+     && stalled_from spin fibers (i + 1)
+
+let quiescent t fibers = stalled_from t.spin fibers 0
+
+(* The loops test quiescence once every [check_interval] steps, not after
+   every step.  Quiescence is permanent once reached, so a late test
+   only adds fewer than [check_interval] steps to a hung run, while a
+   test on every step would add a compare and a branch to every step of
+   every run — measurable against a loop this tight. *)
+let check_interval = 64 (* power of two: the test is a mask *)
+
+let[@inline] check_due t ~steps_before = (t.steps - steps_before) land (check_interval - 1) = 0
+
+(* Kill whatever is still suspended (quiescence or budget exhausted), then
+   assemble the outcome and record the per-run metric deltas.  Shared by
+   every loop so they differ only in how they pick. *)
 let finish t ~steps_before fibers =
+  let proven = quiescent t fibers in
   let hung = ref [] in
   Array.iter
     (fun f ->
@@ -155,7 +192,9 @@ let finish t ~steps_before fibers =
     let delta = t.steps - steps_before in
     Obs.Metrics.incr ~by:delta (Lazy.force m_steps_total);
     Obs.Metrics.observe (Lazy.force m_steps_per_run) (float_of_int delta);
-    Obs.Metrics.incr ~by:(List.length !hung) (Lazy.force m_hung_fibers)
+    Obs.Metrics.incr ~by:(List.length !hung) (Lazy.force m_hung_fibers);
+    if !hung <> [] then
+      Obs.Metrics.incr (Lazy.force (if proven then m_quiescent_hangs else m_budget_exhausted))
   end;
   {
     steps = t.steps;
@@ -208,13 +247,16 @@ let run ?on_step t =
           Array.blit runnable (i + 1) runnable i (!n_runnable - i - 1);
           decr n_runnable
       | Not_started _ | Suspended _ -> ());
-      if sampling && (t.steps - steps_before) land (sample_interval - 1) = 0 then begin
-        let now = Obs.Clock.now () in
-        Obs.Metrics.observe (Lazy.force m_step_seconds)
-          ((now -. !sample_anchor) /. float_of_int sample_interval);
-        sample_anchor := now
-      end;
-      loop ()
+      if not (check_due t ~steps_before) then loop ()
+      else begin
+        if sampling then begin
+          let now = Obs.Clock.now () in
+          Obs.Metrics.observe (Lazy.force m_step_seconds)
+            ((now -. !sample_anchor) /. float_of_int check_interval);
+          sample_anchor := now
+        end;
+        if not (quiescent t fibers) then loop ()
+      end
     end
   in
   loop ();
@@ -245,7 +287,7 @@ let run_reference ?on_step t =
           t.steps <- t.steps + 1;
           (match on_step with Some g -> g f.tid | None -> ());
           step_fiber f;
-          loop ()
+          if not (check_due t ~steps_before && quiescent t fibers) then loop ()
         end
   in
   loop ();
@@ -461,7 +503,7 @@ let run_por ?on_step ~(por : por) t =
           decr n_runnable;
           cand_dirty := true
       | Not_started _ | Suspended _ -> ());
-      loop ()
+      if not (check_due t ~steps_before && quiescent t fibers) then loop ()
     end
   in
   loop ();

@@ -2,25 +2,41 @@
 
     Simulated threads are fibers that {!yield} at every instrumented
     operation; the scheduler picks the next runnable fiber with a seeded
-    {!Rng.t}, so every interleaving is replayable from its seed.  Fibers
-    still suspended when the step budget runs out are killed and reported
-    as hung — this is how lock hangs surface in the reproduction. *)
+    {!Rng.t}, so every interleaving is replayable from its seed.
+
+    A run ends when every fiber has finished or failed, at {e quiescence},
+    or when the step budget runs out.  Quiescence is proven from evidence
+    the runtime writes into the [spin] channel given to {!create}: every
+    live fiber failed a spin-lock CAS and no PM write has happened since,
+    so none of them can ever progress.  The fibers still suspended when a
+    run ends this way, or at the budget, are killed and reported as hung
+    — this is how lock hangs surface in the reproduction.  The budget
+    stays the backstop for busy-waits the spin stamps do not cover. *)
 
 exception Killed
-(** Raised inside a fiber killed at budget exhaustion. *)
+(** Raised inside a fiber killed as hung. *)
 
 type t
 
 type outcome = {
   steps : int;  (** scheduling decisions taken *)
   finished : int list;  (** tids that ran to completion *)
-  hung : (int * string) list;  (** tids (and names) killed at budget *)
+  hung : (int * string) list;  (** tids (and names) killed at quiescence or budget *)
   failed : (int * string * exn) list;  (** tids that raised *)
 }
 
-val create : ?step_budget:int -> rng:Rng.t -> unit -> t
+val create : ?step_budget:int -> ?spin:int array -> rng:Rng.t -> unit -> t
 (** [step_budget] bounds the number of scheduling decisions (default
-    200_000); exhausting it classifies surviving fibers as hung. *)
+    200_000); exhausting it classifies surviving fibers as hung.
+
+    [spin] is the quiescence channel ({!Runtime.Env.spin_channel} builds
+    it): cell [0] holds the PM write generation and cell [1 + tid] fiber
+    [tid]'s spin stamp.  The runtime writes both in place; the scheduler
+    only reads them.  A live fiber is proven stuck while its stamp equals
+    the generation + 1, and a run whose every live fiber is proven stuck
+    stops with those fibers hung — exactly the set the budget would have
+    reported, in fewer steps.  Tids beyond the array are never
+    stuck; the default empty channel leaves only the budget. *)
 
 val spawn : t -> name:string -> (unit -> unit) -> int
 (** Register a fiber; returns its tid (dense, starting at 0).  All fibers
@@ -31,7 +47,10 @@ val yield : unit -> unit
     {!run}; the runtime calls it at every preemption point. *)
 
 val run : ?on_step:(int -> unit) -> t -> outcome
-(** Execute all fibers to completion, failure, or budget exhaustion.
+(** Execute all fibers to completion or failure, until quiescence, or
+    until the budget runs out; fibers suspended at the end are reported
+    hung.  Quiescence is checked every 64 steps, allocation-free: it is
+    permanent once reached, so a run stops at most 63 steps after it.
     [on_step tid] is invoked before every scheduling step.
 
     The per-step cost is O(1) amortized in the number of fibers: the
@@ -43,7 +62,10 @@ val run : ?on_step:(int -> unit) -> t -> outcome
     Metrics (when {!Obs.Metrics.enabled}): records the per-run step
     {e delta} into [sched_steps_total]/[sched_steps_per_run] — a reused
     scheduler value never double-counts — and samples the mean wall time
-    per step into the [sched_step_seconds] histogram every 64th step. *)
+    per step into the [sched_step_seconds] histogram every 64th step.  A
+    run that ends with hung fibers counts in [sched_quiescent_hangs_total]
+    when every one was proven stuck, else in
+    [sched_budget_exhausted_total]. *)
 
 val run_reference : ?on_step:(int -> unit) -> t -> outcome
 (** The legacy scheduling loop (rebuild-and-filter the runnable list every
@@ -51,7 +73,7 @@ val run_reference : ?on_step:(int -> unit) -> t -> outcome
     {!run}: same RNG stream, same schedule, same outcome — only the
     per-step cost differs (O(fibers) instead of O(1)).  Used by the
     stream-compatibility tests and the [hotpath] bench; not for
-    production callers. *)
+    production callers.  Stops at quiescence like {!run}. *)
 
 (** {2 Partial-order reduction}
 
@@ -98,7 +120,9 @@ val run_por : ?on_step:(int -> unit) -> por:por -> t -> outcome * por_stats
     commuting ops) are put to sleep and excluded from the pick until a
     dependent access wakes them.  A fiber that busy-wait retries the op
     it just executed ([por.spin], a failed CAS) is itself parked until a
-    conflicting access wakes it.  Draws one [Rng.int] per step like
+    conflicting access wakes it.  Ends at quiescence like {!run}: asleep
+    fibers are live, so a parked lock holder keeps the run going.  Draws
+    one [Rng.int] per step like
     {!run}, but over the awake subset, so the RNG stream {e differs} from
     [run] — POR sessions are seed-reproducible against [run_por] itself,
     not against [run].  The pruning is a heuristic over instrumented

@@ -10,6 +10,7 @@ let () =
       ("pool", Test_pool.suite);
       ("rng", Test_rng.suite);
       ("scheduler", Test_scheduler.suite);
+      ("quiescence", Test_quiescence.suite);
       ("taint+tval", Test_taint.suite);
       ("runtime", Test_runtime.suite);
       ("coverage", Test_coverage.suite);
